@@ -283,6 +283,7 @@ func TestAigerRejectsBadInput(t *testing.T) {
 		"aag 2 1 0 0 0\n3\n",         // complemented input
 		"aag x 1 0 0 0\n2\n",         // non-numeric header
 		"aag 2 1 0 1 1\n2\n4\nx y\n", // bad AND line
+		"aag 0 0 0 0 0\n0 ",          // symbol line without an index (used to panic)
 	}
 	for i, src := range cases {
 		if _, err := ReadASCII(bytes.NewReader([]byte(src))); err == nil {

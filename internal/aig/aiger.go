@@ -169,7 +169,11 @@ func ReadASCII(r io.Reader) (*Graph, error) {
 		if len(line) < 2 {
 			continue
 		}
-		idx, err := strconv.Atoi(strings.Fields(line[1:])[0])
+		fields := strings.Fields(line[1:])
+		if len(fields) == 0 {
+			return nil, fmt.Errorf("aig: symbol line %q has no index", line)
+		}
+		idx, err := strconv.Atoi(fields[0])
 		if err != nil {
 			continue
 		}

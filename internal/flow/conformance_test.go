@@ -140,7 +140,7 @@ func conformanceCases() []conformanceCase {
 		// Spot cases: the same invariants must survive seeded
 		// revocations, plus the checkpoint-recovery and escalation ones.
 		{name: "spot-first-fit", policy: FirstFit{}, spot: true,
-			fleetSpec: "gp.4x.spot=1,mem.4x.spot=1,cpu.2x.spot=1",
+			fleetSpec:  "gp.4x.spot=1,mem.4x.spot=1,cpu.2x.spot=1",
 			hazardSeed: 7, hazardRate: 30,
 			retry: RetryPolicy{MaxAttempts: 200, BackoffSec: 20},
 			jobs:  func(t *testing.T) []Job { return fleetJobs(t, 5) }},

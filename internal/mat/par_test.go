@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -75,6 +76,53 @@ func TestPooledKernelsMatchNaive(t *testing.T) {
 		diff := got.Data[i] - naive.Data[i]
 		if diff < -1e-9 || diff > 1e-9 {
 			t.Fatalf("element %d: %g vs naive %g", i, got.Data[i], naive.Data[i])
+		}
+	}
+}
+
+// TestProductsSumInOrder: every output of Mul, MulATB and MulABT is
+// its dot product accumulated in ascending order with one rounding per
+// step (Mul and MulATB skip zero a entries), bit for bit, at every row
+// width, so the unrolled kernels' tails are covered too.
+func TestProductsSumInOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for n := 1; n <= 11; n++ {
+		a := randSparseDense(rng, 7, n)
+		b := randSparseDense(rng, 5, n)
+		c := randSparseDense(rng, n, 9)
+		d := randSparseDense(rng, 7, n)
+		for _, m := range []*Dense{b, c, d} {
+			for i := range m.Data {
+				m.Data[i] *= math.Pow(10, float64(rng.Intn(9)-4)) // magnitudes that make the order matter
+			}
+		}
+		check := func(name string, got *Dense, i, j int, terms func(k int) (float64, float64), kn int) {
+			t.Helper()
+			var want float64
+			for k := 0; k < kn; k++ {
+				x, y := terms(k)
+				if x == 0 && name != "MulABT" {
+					continue
+				}
+				want += x * y
+			}
+			if got.At(i, j) != want {
+				t.Fatalf("%s width %d (%d,%d): %x, want %x", name, n, i, j, got.At(i, j), want)
+			}
+		}
+		abt, mul, atb := MulABT(a, b, nil), Mul(a, c, nil), MulATB(a, d, nil)
+		for i := 0; i < 7; i++ {
+			for j := 0; j < 5; j++ {
+				check("MulABT", abt, i, j, func(k int) (float64, float64) { return a.At(i, k), b.At(j, k) }, n)
+			}
+			for j := 0; j < 9; j++ {
+				check("Mul", mul, i, j, func(k int) (float64, float64) { return a.At(i, k), c.At(k, j) }, n)
+			}
+		}
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				check("MulATB", atb, i, j, func(r int) (float64, float64) { return a.At(r, i), d.At(r, j) }, 7)
+			}
 		}
 	}
 }

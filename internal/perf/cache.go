@@ -9,11 +9,12 @@ type Cache struct {
 	lineShift uint
 	setMask   uint64
 	ways      int
-	// tags[set*ways+way]; lru[set*ways+way] holds recency ranks where
-	// 0 is most recent.
-	tags  []uint64
-	valid []bool
-	lru   []uint8
+	// tags[set*ways+way] holds line+1, so 0 marks an invalid way.
+	// stamps[set*ways+way] is the tick of the way's last use; invalid
+	// ways keep stamp 0, below every valid way's.
+	tags   []uint64
+	stamps []uint64
+	tick   uint64
 
 	accesses uint64
 	misses   uint64
@@ -24,7 +25,8 @@ type Cache struct {
 // nearest power of two so that indexing stays a mask; VM LLC slices
 // (2 MiB x vCPUs for 1..8 vCPUs) therefore map to the closest
 // realizable geometry. NewCache panics on non-positive geometry, a
-// non-power-of-two line size, or fewer than ways*lineBytes bytes.
+// line size that is not a power of two of at least 2 bytes (so line+1
+// never overflows the tag), or fewer than ways*lineBytes bytes.
 func NewCache(sizeBytes, ways, lineBytes int) *Cache {
 	if sizeBytes <= 0 || ways <= 0 || lineBytes <= 0 {
 		panic("perf: non-positive cache geometry")
@@ -44,81 +46,49 @@ func NewCache(sizeBytes, ways, lineBytes int) *Cache {
 	for 1<<shift < lineBytes {
 		shift++
 	}
-	if 1<<shift != lineBytes {
-		panic("perf: line size must be a power of two")
+	if 1<<shift != lineBytes || shift == 0 {
+		panic("perf: line size must be a power of two of at least 2 bytes")
 	}
 	c := &Cache{
 		lineShift: shift,
 		setMask:   uint64(sets - 1),
 		ways:      ways,
 		tags:      make([]uint64, lines),
-		valid:     make([]bool, lines),
-		lru:       make([]uint8, lines),
+		stamps:    make([]uint64, lines),
 	}
 	return c
 }
 
 // Access simulates a reference to addr and reports whether it hit.
+//
+// Replacement is true LRU: the victim is the first invalid way, else
+// the least recently used one. Because every access takes a fresh tick,
+// valid stamps are distinct and the smallest names the LRU way, while
+// invalid ways (stamp 0) sort first and ties break to the lowest way.
 func (c *Cache) Access(addr uint64) bool {
 	c.accesses++
+	c.tick++
 	line := addr >> c.lineShift
-	set := int(line & c.setMask)
-	base := set * c.ways
-
-	hitWay := -1
-	for w := 0; w < c.ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == line {
-			hitWay = w
-			break
+	tag := line + 1
+	base := int(line&c.setMask) * c.ways
+	tags := c.tags[base : base+c.ways]
+	stamps := c.stamps[base : base+c.ways]
+	for w, t := range tags {
+		if t == tag {
+			stamps[w] = c.tick
+			return true
 		}
-	}
-	if hitWay >= 0 {
-		c.touchHit(base, hitWay)
-		return true
 	}
 	c.misses++
-	// Choose the LRU victim (highest rank) or an invalid way.
 	victim := 0
-	var worst uint8
-	for w := 0; w < c.ways; w++ {
-		if !c.valid[base+w] {
-			victim = w
-			break
-		}
-		if c.lru[base+w] >= worst {
-			worst = c.lru[base+w]
+	for w := 1; w < len(stamps); w++ {
+		if stamps[w] < stamps[victim] {
 			victim = w
 		}
 	}
-	c.tags[base+victim] = line
-	c.valid[base+victim] = true
-	c.touchInsert(base, victim)
+	tags[victim] = tag
+	stamps[victim] = c.tick
 	return false
-}
-
-// touchHit promotes a resident way to most-recently-used: every way
-// that was more recent slides back one rank.
-func (c *Cache) touchHit(base, way int) {
-	old := c.lru[base+way]
-	for w := 0; w < c.ways; w++ {
-		if c.lru[base+w] < old {
-			c.lru[base+w]++
-		}
-	}
-	c.lru[base+way] = 0
-}
-
-// touchInsert installs a new line as most-recently-used: all other ways
-// age by one rank (saturating), which keeps ranks a permutation once
-// the set fills.
-func (c *Cache) touchInsert(base, way int) {
-	maxRank := uint8(c.ways - 1)
-	for w := 0; w < c.ways; w++ {
-		if w != way && c.lru[base+w] < maxRank {
-			c.lru[base+w]++
-		}
-	}
-	c.lru[base+way] = 0
 }
 
 // Stats returns accesses and misses since construction.
@@ -134,11 +104,9 @@ func (c *Cache) MissRate() float64 {
 
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.lru[i] = 0
-		c.tags[i] = 0
-	}
+	clear(c.tags)
+	clear(c.stamps)
+	c.tick = 0
 	c.accesses = 0
 	c.misses = 0
 }

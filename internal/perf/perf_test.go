@@ -14,6 +14,7 @@ func TestCacheGeometryValidation(t *testing.T) {
 		{1024, 8, 0},       // zero line
 		{64, 8, 64},        // smaller than one set
 		{1024, 8, 48},      // line not power of two
+		{1024, 8, 1},       // one-byte lines: line+1 could overflow the tag
 		{1 << 20, 300, 64}, // too associative
 	}
 	// Non-power-of-two set counts are legal and round down:

@@ -50,7 +50,7 @@ func (pc ProbeConfig) WithLLCSlices(n int) ProbeConfig {
 //     STA's levelized sweeps — these are capacity-friendly and mostly
 //     hit once warm;
 //   - LoadCold references never-seen addresses (compulsory misses),
-//     the pattern of the router's freshly allocated per-search state —
+//     the pattern of the router's per-search visited/parent state —
 //     these miss every cache no matter its size, which is why routing's
 //     miss rate does not improve with bigger VMs in the paper.
 type Probe struct {
@@ -170,16 +170,21 @@ func (p *Probe) LoopBranches(n int) {
 	p.c.Branches += uint64(n)
 }
 
-func (p *Probe) access(addr uint64) {
+// access runs one reference through L1 then LLC and counts where it
+// was served. It is the single miss path of Load, Store and LoadRange;
+// it reports whether the reference missed the LLC.
+func (p *Probe) access(addr uint64) (llcMiss bool) {
 	if p.l1.Access(addr) {
-		return
+		p.c.L1Hits++
+		return false
 	}
 	p.c.L1Misses++
 	if p.llc.Access(addr) {
 		p.c.LLCHits++
-	} else {
-		p.c.LLCMisses++
+		return false
 	}
+	p.c.LLCMisses++
+	return true
 }
 
 // Load records a data load from the synthetic address addr.
@@ -189,16 +194,7 @@ func (p *Probe) Load(addr uint64) {
 	}
 	p.c.Instrs++
 	p.c.Loads++
-	if p.l1.Access(addr) {
-		p.c.L1Hits++
-		return
-	}
-	p.c.L1Misses++
-	if p.llc.Access(addr) {
-		p.c.LLCHits++
-	} else {
-		p.c.LLCMisses++
-	}
+	p.access(addr)
 }
 
 // Store records a data store to the synthetic address addr.
@@ -208,16 +204,7 @@ func (p *Probe) Store(addr uint64) {
 	}
 	p.c.Instrs++
 	p.c.Stores++
-	if p.l1.Access(addr) {
-		p.c.L1Hits++
-		return
-	}
-	p.c.L1Misses++
-	if p.llc.Access(addr) {
-		p.c.LLCHits++
-	} else {
-		p.c.LLCMisses++
-	}
+	p.access(addr)
 }
 
 // LoadRange records a sequential sweep of n elements of elemSize bytes
@@ -240,15 +227,7 @@ func (p *Probe) LoadRange(addr uint64, n, elemSize int) {
 			continue
 		}
 		lastLine = ln
-		if p.l1.Access(a) {
-			p.c.L1Hits++
-			continue
-		}
-		p.c.L1Misses++
-		if p.llc.Access(a) {
-			p.c.LLCHits++
-		} else {
-			p.c.LLCMisses++
+		if p.access(a) {
 			p.c.LLCPrefetched++
 		}
 	}

@@ -14,10 +14,11 @@
 package route
 
 import (
-	"container/heap"
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"edacloud/internal/ints"
 	"edacloud/internal/netlist"
@@ -117,9 +118,11 @@ func (g *grid) numEdges() int { return g.h*(g.w-1) + g.w*(g.h-1) }
 
 // Hot-window probe regions. The router's resident set (the grid slice
 // under search plus the frontier heap) is bounded, but every search
-// also touches freshly allocated visited/parent state — compulsory
-// misses that no cache size absorbs, which is why routing's miss rate
-// stays flat across VM sizes in the paper's Fig. 2b.
+// also touches per-search visited/parent state. The model charges those
+// touches as compulsory misses (probe.LoadCold) that no cache size
+// absorbs, which is why routing's miss rate stays flat across VM sizes
+// in the paper's Fig. 2b. The host reuses that state through
+// searchScratch; the simulated misses do not depend on it.
 const (
 	rgGrid = 0 // edge usage/history records
 	rgHeap = 1 // frontier heap nodes
@@ -159,15 +162,9 @@ func Route(nl *netlist.Netlist, pl *place.Placement, opts Options) (*Result, *pe
 	report := &perf.Report{Job: "routing"}
 
 	g := &grid{
-		w:   int(pl.DieW/opts.GCell) + 2,
-		h:   int(pl.DieH/opts.GCell) + 2,
+		w:   max(int(pl.DieW/opts.GCell)+2, 2),
+		h:   max(int(pl.DieH/opts.GCell)+2, 2),
 		cap: opts.Capacity,
-	}
-	if g.w < 2 {
-		g.w = 2
-	}
-	if g.h < 2 {
-		g.h = 2
 	}
 	g.usage = make([]int32, g.numEdges())
 	g.history = make([]float64, g.numEdges())
@@ -209,25 +206,11 @@ func Route(nl *netlist.Netlist, pl *place.Placement, opts Options) (*Result, *pe
 		res.TileLocalFraction = 1 - float64(len(crossTile))/float64(len(conns))
 	}
 
+	tileIDs := slices.Sorted(maps.Keys(tiles))
+
 	// Initial routing pass: tile-local connections first (parallel),
 	// then cross-tile connections (serialized negotiation).
-	if probe == nil && opts.Workers > 1 {
-		routeTilesParallel(g, tiles, opts)
-	} else {
-		tileIDs := make([]int32, 0, len(tiles))
-		for id := range tiles {
-			tileIDs = append(tileIDs, id)
-		}
-		sort.Slice(tileIDs, func(i, j int) bool { return tileIDs[i] < tileIDs[j] })
-		for _, id := range tileIDs {
-			for _, c := range tiles[id] {
-				routeConnection(g, c, probe)
-			}
-		}
-	}
-	for _, c := range crossTile {
-		routeConnection(g, c, probe)
-	}
+	routePass(g, tileIDs, tiles, crossTile, opts)
 	pf := 0.88 + 0.11*res.TileLocalFraction
 	report.AddPhase(probe.TakePhase("route-initial", pf, ints.Max(res.BusyTiles, 1)))
 
@@ -239,12 +222,10 @@ func Route(nl *netlist.Netlist, pl *place.Placement, opts Options) (*Result, *pe
 		if len(overused) == 0 {
 			break
 		}
+		bad := map[int32]bool{}
 		for _, e := range overused {
 			g.history[e] += opts.HistoryCost
 			probe.StoreHot(rgGrid, uint64(e))
-		}
-		bad := map[int32]bool{}
-		for _, e := range overused {
 			bad[e] = true
 		}
 		var rip []*connection
@@ -284,26 +265,7 @@ func Route(nl *netlist.Netlist, pl *place.Placement, opts Options) (*Result, *pe
 	for i := range conns {
 		g.unroute(&conns[i])
 	}
-	if probe == nil && opts.Workers > 1 {
-		routeTilesParallel(g, tiles, opts)
-		for _, c := range crossTile {
-			routeConnection(g, c, probe)
-		}
-	} else {
-		tileIDs := make([]int32, 0, len(tiles))
-		for id := range tiles {
-			tileIDs = append(tileIDs, id)
-		}
-		sort.Slice(tileIDs, func(i, j int) bool { return tileIDs[i] < tileIDs[j] })
-		for _, id := range tileIDs {
-			for _, c := range tiles[id] {
-				routeConnection(g, c, probe)
-			}
-		}
-		for _, c := range crossTile {
-			routeConnection(g, c, probe)
-		}
-	}
+	routePass(g, tileIDs, tiles, crossTile, opts)
 	report.AddPhase(probe.TakePhase("refine", pf, ints.Max(res.BusyTiles, 1)))
 
 	for i := range conns {
@@ -394,24 +356,32 @@ func buildConnections(nl *netlist.Netlist, pl *place.Placement, g *grid, opts Op
 	return conns
 }
 
-// routeTilesParallel routes tile-local connection groups on the shared
-// par worker pool (sized to opts.Workers). Tile-local paths can leave
-// their tile only through A* detours; to keep workers disjoint we
-// clamp the search to the tile's bounding box (one gcell margin),
-// which is also what keeps their grid state writes race-free.
-func routeTilesParallel(g *grid, tiles map[int32][]*connection, opts Options) {
-	ids := make([]int32, 0, len(tiles))
-	for id := range tiles {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	par.Fixed(opts.Workers).For(len(ids), 1, func(lo, hi int) {
-		for _, id := range ids[lo:hi] {
+// routePass routes every tile's local connections, in ascending tile
+// order, then the cross-tile ones. Uninstrumented runs with Workers > 1
+// route the tiles on the shared par worker pool (sized to
+// opts.Workers). Tile-local paths can leave their tile only through A*
+// detours; to keep workers disjoint we clamp the search to the tile's
+// bounding box (one gcell margin), which is also what keeps their grid
+// state writes race-free.
+func routePass(g *grid, tileIDs []int32, tiles map[int32][]*connection, crossTile []*connection, opts Options) {
+	if opts.Probe == nil && opts.Workers > 1 {
+		par.Fixed(opts.Workers).For(len(tileIDs), 1, func(lo, hi int) {
+			for _, id := range tileIDs[lo:hi] {
+				for _, c := range tiles[id] {
+					routeConnectionBounded(g, c, nil, tileBounds(g, id, opts.TileSize))
+				}
+			}
+		})
+	} else {
+		for _, id := range tileIDs {
 			for _, c := range tiles[id] {
-				routeConnectionBounded(g, c, nil, tileBounds(g, id, opts.TileSize))
+				routeConnection(g, c, opts.Probe)
 			}
 		}
-	})
+	}
+	for _, c := range crossTile {
+		routeConnection(g, c, opts.Probe)
+	}
 }
 
 // tileBounds returns the search window of a tile id. Windows of
@@ -422,17 +392,8 @@ func tileBounds(g *grid, id int32, tileSize int) [4]int {
 	tilesPerRow := int32(g.w/tileSize + 1)
 	tx := int(id % tilesPerRow)
 	ty := int(id / tilesPerRow)
-	x0 := tx * tileSize
-	y0 := ty * tileSize
-	x1 := (tx + 1) * tileSize
-	y1 := (ty + 1) * tileSize
-	if x1 > g.w {
-		x1 = g.w
-	}
-	if y1 > g.h {
-		y1 = g.h
-	}
-	return [4]int{x0, y0, x1, y1}
+	x1, y1 := min((tx+1)*tileSize, g.w), min((ty+1)*tileSize, g.h)
+	return [4]int{tx * tileSize, ty * tileSize, x1, y1}
 }
 
 // routeConnection routes within the whole grid.
@@ -446,18 +407,79 @@ type pqItem struct {
 	x, y      int16
 }
 
+// pq is a binary min-heap on est. push and pop move entries exactly as
+// container/heap's up and down do, so entries with equal est leave in
+// the same order and the search visits cells in the same sequence.
 type pq []pqItem
 
-func (q pq) Len() int            { return len(q) }
-func (q pq) Less(i, j int) bool  { return q[i].est < q[j].est }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+func (q *pq) push(it pqItem) {
+	*q = append(*q, it)
+	h, j := *q, len(*q)-1
+	for ; j > 0 && it.est < h[(j-1)/2].est; j = (j - 1) / 2 {
+		h[j] = h[(j-1)/2]
+	}
+	h[j] = it
+}
+
+func (q *pq) pop() pqItem {
+	h := *q
+	top, last := h[0], h[len(h)-1]
+	h = h[:len(h)-1]
+	*q = h
+	i := 0
+	for j := 1; j < len(h); j = 2*i + 1 {
+		if j+1 < len(h) && h[j+1].est < h[j].est {
+			j++
+		}
+		if !(h[j].est < last.est) {
+			break
+		}
+		h[i] = h[j]
+		i = j
+	}
+	if len(h) > 0 {
+		h[i] = last
+	}
+	return top
+}
+
+// searchCell is one grid cell's search state: its best cost, parent
+// cell and the edge from that parent. It is current only when epoch
+// matches the scratch's; any other cell reads as unvisited.
+type searchCell struct {
+	epoch      uint32
+	from, edge int32
+	dist       float64
+}
+
+// searchScratch is the visited/parent state and frontier of a search,
+// reused by the next one: starting a search bumps the epoch instead of
+// resetting w*h cells. scratchPool gives every search, and so every
+// parallel tile worker, a scratch of its own.
+type searchScratch struct {
+	cells    []searchCell
+	epoch    uint32
+	frontier pq
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
+
+func (s *searchScratch) begin(n int) {
+	if len(s.cells) < n {
+		s.cells = make([]searchCell, n)
+	}
+	if s.epoch++; s.epoch == 0 { // wrapped: forget every stale stamp
+		clear(s.cells)
+		s.epoch = 1
+	}
+	s.frontier = s.frontier[:0]
+}
+
+func (s *searchScratch) dist(i int32) float64 {
+	if c := s.cells[i]; c.epoch == s.epoch {
+		return c.dist
+	}
+	return math.Inf(1)
 }
 
 // routeConnectionBounded is the A* maze router under the negotiated
@@ -482,14 +504,9 @@ func routeConnectionBounded(g *grid, c *connection, probe *perf.Probe, win [4]in
 	}
 
 	idx := func(x, y int16) int32 { return int32((int(y)-y0)*w + (int(x) - x0)) }
-	dist := make([]float64, w*h)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	from := make([]int32, w*h)
-	for i := range from {
-		from[i] = -1
-	}
+	sc := scratchPool.Get().(*searchScratch)
+	defer scratchPool.Put(sc)
+	sc.begin(w * h)
 
 	edgeCost := func(e int32) float64 {
 		probe.LoadHot(rgGrid, uint64(e))
@@ -508,13 +525,27 @@ func routeConnectionBounded(g *grid, c *connection, probe *perf.Probe, win [4]in
 		return math.Abs(dx) + math.Abs(dy)
 	}
 
-	frontier := &pq{{cost: 0, est: heuristic(c.sx, c.sy), x: c.sx, y: c.sy}}
-	dist[idx(c.sx, c.sy)] = 0
+	frontier := &sc.frontier
+	// relax offers neighbor (x, y) of it, reached over edge e.
+	relax := func(it pqItem, x, y int16, e int32) {
+		cand := it.cost + edgeCost(e)
+		di := idx(x, y)
+		better := cand < sc.dist(di)
+		probe.Branch(brNeighborImprove, better)
+		if better {
+			sc.cells[di] = searchCell{sc.epoch, idx(it.x, it.y), e, cand}
+			frontier.push(pqItem{cost: cand, est: cand + heuristic(x, y), x: x, y: y})
+			probe.StoreHot(rgHeap, uint64(len(*frontier)))
+		}
+	}
+	frontier.push(pqItem{cost: 0, est: heuristic(c.sx, c.sy), x: c.sx, y: c.sy})
+	sc.cells[idx(c.sx, c.sy)] = searchCell{sc.epoch, -1, -1, 0}
 	found := false
-	for frontier.Len() > 0 {
-		it := heap.Pop(frontier).(pqItem)
-		probe.LoadHot(rgHeap, uint64(frontier.Len()))
-		// Freshly touched visited/parent entries: compulsory misses.
+	for len(*frontier) > 0 {
+		it := frontier.pop()
+		probe.LoadHot(rgHeap, uint64(len(*frontier)))
+		// The visited/parent entries this visit touches: compulsory
+		// misses in the model.
 		probe.LoadCold(2)
 		// Per-node bookkeeping of a production 3D router: layer
 		// assignment, via costing and design-rule legality per visit.
@@ -526,74 +557,40 @@ func routeConnectionBounded(g *grid, c *connection, probe *perf.Probe, win [4]in
 			found = true
 			break
 		}
-		if it.cost > dist[idx(it.x, it.y)] {
+		if it.cost > sc.dist(idx(it.x, it.y)) {
 			continue // stale entry
 		}
-		type nb struct {
-			x, y int16
-			e    int32
-		}
-		var nbs [4]nb
-		n := 0
 		if int(it.x) > x0 {
-			nbs[n] = nb{it.x - 1, it.y, g.hEdge(int(it.x)-1, int(it.y))}
-			n++
+			relax(it, it.x-1, it.y, g.hEdge(int(it.x)-1, int(it.y)))
 		}
 		if int(it.x) < x1-1 {
-			nbs[n] = nb{it.x + 1, it.y, g.hEdge(int(it.x), int(it.y))}
-			n++
+			relax(it, it.x+1, it.y, g.hEdge(int(it.x), int(it.y)))
 		}
 		if int(it.y) > y0 {
-			nbs[n] = nb{it.x, it.y - 1, g.vEdge(int(it.x), int(it.y)-1)}
-			n++
+			relax(it, it.x, it.y-1, g.vEdge(int(it.x), int(it.y)-1))
 		}
 		if int(it.y) < y1-1 {
-			nbs[n] = nb{it.x, it.y + 1, g.vEdge(int(it.x), int(it.y))}
-			n++
-		}
-		for k := 0; k < n; k++ {
-			nbk := nbs[k]
-			cand := it.cost + edgeCost(nbk.e)
-			di := idx(nbk.x, nbk.y)
-			better := cand < dist[di]
-			probe.Branch(brNeighborImprove, better)
-			if !better {
-				continue
-			}
-			dist[di] = cand
-			from[di] = idx(it.x, it.y)
-			heap.Push(frontier, pqItem{cost: cand, est: cand + heuristic(nbk.x, nbk.y), x: nbk.x, y: nbk.y})
-			probe.StoreHot(rgHeap, uint64(frontier.Len()))
+			relax(it, it.x, it.y+1, g.vEdge(int(it.x), int(it.y)))
 		}
 	}
 	if !found {
 		c.path = nil
 		return
 	}
-	// Trace back the path, collecting edges and bumping usage.
-	var path []int32
-	cur := idx(c.tx, c.ty)
-	for from[cur] >= 0 {
-		prev := from[cur]
-		cx, cy := int(cur)%w+x0, int(cur)/w+y0
-		px, py := int(prev)%w+x0, int(prev)/w+y0
-		var e int32
-		switch {
-		case cx == px+1:
-			e = g.hEdge(px, py)
-		case cx == px-1:
-			e = g.hEdge(cx, cy)
-		case cy == py+1:
-			e = g.vEdge(px, py)
-		default:
-			e = g.vEdge(cx, cy)
-		}
-		path = append(path, e)
+	// Trace back the path, collecting edges and bumping usage. Every
+	// cell on it was visited, so its parent entry is current. The first
+	// walk only sizes the path, the search's one allocation.
+	n := 0
+	for cur := idx(c.tx, c.ty); sc.cells[cur].from >= 0; cur = sc.cells[cur].from {
+		n++
+	}
+	c.path = make([]int32, 0, n)
+	for cur := idx(c.tx, c.ty); sc.cells[cur].from >= 0; cur = sc.cells[cur].from {
+		e := sc.cells[cur].edge
+		c.path = append(c.path, e)
 		g.usage[e]++
 		probe.StoreHot(rgGrid, uint64(e))
-		cur = prev
 	}
-	c.path = path
 }
 
 // unroute removes a connection's path from the grid usage.
