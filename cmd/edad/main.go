@@ -32,6 +32,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"edacloud/internal/cloud"
 	"edacloud/internal/core"
@@ -114,7 +115,16 @@ func main() {
 		fail(err)
 	}
 	fmt.Printf("edad: serving %d templates to %d tenants on %s\n", len(templates), len(tenants), *listen)
-	fail(http.ListenAndServe(*listen, srv.Handler()))
+	// Requests are small JSON bodies answered from memory, so generous
+	// bounds still cut off a client that stalls mid-request.
+	hs := &http.Server{
+		Addr:              *listen,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		WriteTimeout:      60 * time.Second,
+	}
+	fail(hs.ListenAndServe())
 }
 
 // parseTenants parses "name=weight,name=weight".

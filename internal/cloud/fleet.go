@@ -44,7 +44,15 @@ type FleetInstance struct {
 	// BusySec totals leased time; CostUSD totals the bills.
 	BusySec float64
 	CostUSD float64
-	Leases  []Lease
+	// Leases is the live timeline: every lease not yet moved out by
+	// Settle, in start order.
+	Leases []Lease
+	// settledCost, settledBusy and settledFree are the left folds of
+	// the settled prefix — the running sum of its bills, the running sum
+	// of its busy spans and its latest end — so every ledger re-folded
+	// over the live leases continues from exactly where an unsettled
+	// timeline's fold would stand.
+	settledCost, settledBusy, settledFree float64
 }
 
 // Fleet is a bounded pool of rentable instances.
@@ -178,7 +186,7 @@ func (f *Fleet) nextRevocation(inst *FleetInstance, afterSec float64) (float64, 
 	return f.Revocation.NextRevocation(inst, afterSec)
 }
 
-// Extend stretches instance idx's latest lease by durSec — a job
+// Extend stretches instance idx's latest live lease by durSec — a job
 // holding its machine across consecutive stages instead of releasing
 // it — appending the stage to the lease label and re-billing the whole
 // interval. It returns the marginal cost of the extension. Under a
@@ -207,15 +215,18 @@ func (f *Fleet) Extend(idx int, stage string, durSec float64) float64 {
 
 // instanceCost re-sums an instance's lease bills so the ledger equals
 // the exact sum of final lease costs regardless of extension order.
+// The sum starts from the settled prefix's fold, so it is bit-identical
+// to a sum over the whole timeline.
 func instanceCost(inst *FleetInstance) float64 {
-	var c float64
+	c := inst.settledCost
 	for _, l := range inst.Leases {
 		c += l.CostUSD
 	}
 	return c
 }
 
-// Lease returns one lease of one instance.
+// Lease returns one live lease of one instance; lease indexes count
+// from the first lease Settle has not moved out.
 func (f *Fleet) Lease(idx, lease int) Lease { return f.Instances[idx].Leases[lease] }
 
 // TotalCostUSD sums the fleet bill over all instances.
@@ -260,10 +271,7 @@ func (f *Fleet) Utilization(horizonSec float64) float64 {
 // unused state so it can back another schedule.
 func (f *Fleet) Reset() {
 	for _, inst := range f.Instances {
-		inst.FreeAtSec = 0
-		inst.BusySec = 0
-		inst.CostUSD = 0
-		inst.Leases = nil
+		*inst = FleetInstance{ID: inst.ID, Type: inst.Type}
 	}
 }
 
@@ -337,12 +345,14 @@ func (f *Fleet) Clone() *Fleet {
 	return out
 }
 
-// Snapshot returns a deep copy of the fleet including every lease and
-// ledger total — unlike Clone, which returns an unused twin. A serving
-// layer trial-books a re-plan on a snapshot and adopts or discards the
-// whole fleet state atomically. The revocation model is shared, not
-// copied, for the same reason Clone shares it: its timelines are a pure
-// function of (seed, instance ID).
+// Snapshot returns a deep copy of the fleet's live state — every live
+// lease and ledger total — unlike Clone, which returns an unused twin.
+// A serving layer trial-books a re-plan on a snapshot and adopts or
+// discards the whole fleet state atomically. Leases Settle moved out are
+// not copied: the snapshot carries only their ledger folds, so its cost
+// is proportional to live work, not to history. The revocation model is
+// shared, not copied, for the same reason Clone shares it: its
+// timelines are a pure function of (seed, instance ID).
 func (f *Fleet) Snapshot() *Fleet {
 	out := &Fleet{
 		Instances:  make([]*FleetInstance, len(f.Instances)),
@@ -356,7 +366,59 @@ func (f *Fleet) Snapshot() *Fleet {
 	return out
 }
 
-// ReleaseFrom cancels every lease that has not started by tSec —
+// Settle moves each instance's settled prefix out of its live timeline
+// and returns it, per instance (nil where nothing settled). A lease is
+// settled once it lies wholly in the past: it started before tSec and
+// ended by it. Leases are appended in start order and never overlap on
+// one instance, so the settled leases always form a prefix. Every
+// ledger — CostUSD, BusySec, FreeAtSec, and the re-folds in ReleaseFrom,
+// Release and Book — stays bit-identical to the unsettled timeline's,
+// because settling keeps the prefix's folds as their starting values.
+// The fleet never writes the returned leases again; Unsettle puts them
+// back. A settled lease can no longer be released or extended, so
+// releases must not reach back before the latest tSec settled, and
+// Extend needs a live latest lease.
+func (f *Fleet) Settle(tSec float64) [][]Lease {
+	var out [][]Lease
+	for i, inst := range f.Instances {
+		n := 0
+		for n < len(inst.Leases) && inst.Leases[n].StartSec < tSec && inst.Leases[n].EndSec <= tSec {
+			l := inst.Leases[n]
+			inst.settledCost += l.CostUSD
+			inst.settledBusy += l.EndSec - l.StartSec
+			if l.EndSec > inst.settledFree {
+				inst.settledFree = l.EndSec
+			}
+			n++
+		}
+		if n == 0 {
+			continue
+		}
+		if out == nil {
+			out = make([][]Lease, len(f.Instances))
+		}
+		out[i] = inst.Leases[:n:n]
+		inst.Leases = inst.Leases[n:]
+	}
+	return out
+}
+
+// Unsettle returns a deep copy of the fleet with each instance's
+// settled leases (settled[i], in the order Settle returned them, for
+// instance i) put back ahead of its live ones — the fleet as it would
+// stand had it never settled, ledgers and all.
+func (f *Fleet) Unsettle(settled [][]Lease) *Fleet {
+	out := f.Snapshot()
+	for i, inst := range out.Instances {
+		if i < len(settled) && len(settled[i]) > 0 {
+			inst.Leases = append(append([]Lease(nil), settled[i]...), inst.Leases...)
+		}
+		inst.settledCost, inst.settledBusy, inst.settledFree = 0, 0, 0
+	}
+	return out
+}
+
+// ReleaseFrom cancels every live lease that has not started by tSec —
 // reservations for future work — and recomputes each instance's
 // free-time, busy and cost ledgers from the leases that remain. Leases
 // already running at tSec (start < tSec) stand untouched, ends and all:
@@ -366,19 +428,26 @@ func (f *Fleet) Snapshot() *Fleet {
 // the fleet's remaining capacity. It returns the number of leases
 // released.
 func (f *Fleet) ReleaseFrom(tSec float64) int {
+	return f.Release(func(l Lease) bool { return l.StartSec >= tSec })
+}
+
+// Release cancels every live lease drop reports true for and re-folds
+// each instance's ledgers over what remains, continuing from the
+// settled prefix's folds. It returns the number of leases released.
+func (f *Fleet) Release(drop func(Lease) bool) int {
 	released := 0
 	for _, inst := range f.Instances {
 		kept := inst.Leases[:0]
 		for _, l := range inst.Leases {
-			if l.StartSec >= tSec {
+			if drop(l) {
 				released++
 				continue
 			}
 			kept = append(kept, l)
 		}
 		inst.Leases = kept
-		inst.FreeAtSec = 0
-		inst.BusySec = 0
+		inst.FreeAtSec = inst.settledFree
+		inst.BusySec = inst.settledBusy
 		for _, l := range inst.Leases {
 			if l.EndSec > inst.FreeAtSec {
 				inst.FreeAtSec = l.EndSec

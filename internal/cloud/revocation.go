@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"math"
+	"sort"
 	"sync"
 )
 
@@ -101,13 +102,10 @@ func (m *RevocationModel) NextRevocation(inst *FleetInstance, afterSec float64) 
 		tl.last += gap
 		tl.events = append(tl.events, tl.last)
 	}
-	for _, t := range tl.events {
-		if t > afterSec {
-			return t, true
-		}
-	}
-	// Unreachable: the loop above extended the stream past afterSec.
-	return tl.last, true
+	// The loop above extended the stream past afterSec, so the search
+	// always lands on an event.
+	i := sort.Search(len(tl.events), func(i int) bool { return tl.events[i] > afterSec })
+	return tl.events[i], true
 }
 
 // streamSeed derives an instance's private PRNG state by folding its

@@ -131,7 +131,13 @@ func SolveMinCost(classes []Class, deadline int) (Selection, error) {
 // solveDP runs the layered DP: z_l(c) = best over j of
 // z_{l-1}(c - t_lj) + value(item_lj). Larger is better for the value
 // function; minCost repurposes it with negated cost.
+//
+// A budget past the slowest plan is capped there: every selection fits
+// either way, and the DP picks the same items at any budget at or above
+// the slowest plan, so the cap changes no result — it only keeps a lax
+// deadline from sizing the table.
 func solveDP(classes []Class, deadline int, value func(Item) float64, minCost bool) (Selection, error) {
+	deadline = min(deadline, MaxTotalTime(classes))
 	n := len(classes)
 	width := deadline + 1
 	negInf := math.Inf(-1)
@@ -301,6 +307,20 @@ func MinTotalTime(classes []Class) int {
 	t := 0
 	for _, cl := range classes {
 		t += cl.Items[Fastest(cl)].TimeSec
+	}
+	return t
+}
+
+// MaxTotalTime returns the slowest plan's total runtime, a budget every
+// selection fits under.
+func MaxTotalTime(classes []Class) int {
+	t := 0
+	for _, cl := range classes {
+		worst := 0
+		for _, it := range cl.Items {
+			worst = max(worst, it.TimeSec)
+		}
+		t += worst
 	}
 	return t
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -14,16 +15,18 @@ import (
 
 // This file is the serving engine: a single-goroutine simulated-time
 // event loop over (arrival, completion, cancel) events. The engine's
-// authoritative state is one cloud.Fleet carrying the full lease
+// authoritative state is one cloud.Fleet carrying the live lease
 // timeline — committed stages (already started) plus the planned
-// future bookings of every in-flight job. At each event the
-// uncommitted tail is released (Fleet.Snapshot + ReleaseFrom), all
-// remaining stages are re-solved jointly (mckp.BatchOptimizeState,
-// warm-started), replayed through the placement engine under the
-// tenant quota gate (flow.ForecastGated), and the re-plan is adopted
-// only if it is strictly better than the incumbent — so the promise
-// made at admission (the forecast finish of every admitted job) only
-// ever improves. Everything is a pure function of the submission
+// future bookings of every in-flight job. Finished leases are settled
+// out of it (Fleet.Settle) into a history no re-plan touches, so each
+// event's work scales with live jobs, not with the trace so far. At
+// each event the uncommitted tail is released (Fleet.Snapshot +
+// ReleaseFrom), all remaining stages are re-solved jointly
+// (mckp.BatchOptimizeState, warm-started), replayed through the
+// placement engine under the tenant quota gate (flow.ForecastGated),
+// and the re-plan is adopted only if it is strictly better than the
+// incumbent — so the promise made at admission (the forecast finish
+// of every admitted job) only ever improves. Everything is a pure function of the submission
 // sequence, so replays are byte-identical at any worker count.
 
 // record is one submitted job's full state.
@@ -44,10 +47,17 @@ type Engine struct {
 	tenants   map[string]Tenant
 	caps      map[string]float64
 
-	fleet  *cloud.Fleet
-	now    float64
-	jobs   []*record
-	prices map[string]float64
+	fleet *cloud.Fleet
+	// settled holds, per fleet instance, the leases Settle moved out of
+	// the live fleet: finished work that only reports still read.
+	settled [][]cloud.Lease
+	now     float64
+	jobs    []*record
+	prices  map[string]float64
+	// admitted lists the ids of admitted (running or planned) jobs and
+	// emitting the ids of jobs with progress events still to stream,
+	// both ascending, so no event scans every job ever submitted.
+	admitted, emitting []int
 
 	// seen maps each artifact chain key an admitted job will compute to
 	// the job that introduced it — the serving layer's fleet-wide dedup
@@ -74,6 +84,7 @@ func New(cfg Config) (*Engine, error) {
 		tenants:   map[string]Tenant{},
 		caps:      quotaCaps(cfg.Fleet, cfg.Tenants),
 		fleet:     cfg.Fleet,
+		settled:   make([][]cloud.Lease, len(cfg.Fleet.Instances)),
 		prices:    map[string]float64{},
 		seen:      map[cache.Key]int{},
 	}
@@ -174,8 +185,12 @@ func (e *Engine) Submit(req SubmitRequest) (JobStatus, error) {
 		return JobStatus{}, fmt.Errorf("serve: job %q arrives at %g, before the engine clock %g",
 			req.Name, req.ArrivalSec, e.now)
 	}
-	if req.DeadlineSec != 0 && req.DeadlineSec <= req.ArrivalSec {
-		return JobStatus{}, fmt.Errorf("serve: job %q deadline %g precedes its arrival %g",
+	if !(req.ArrivalSec <= maxSec) {
+		return JobStatus{}, fmt.Errorf("serve: job %q arrival %g is past the simulated clock's range %d",
+			req.Name, req.ArrivalSec, maxSec)
+	}
+	if math.IsNaN(req.DeadlineSec) || (req.DeadlineSec != 0 && req.DeadlineSec <= req.ArrivalSec) {
+		return JobStatus{}, fmt.Errorf("serve: job %q deadline %g is not after its arrival %g",
 			req.Name, req.DeadlineSec, req.ArrivalSec)
 	}
 	e.AdvanceTo(req.ArrivalSec)
@@ -219,7 +234,7 @@ func (e *Engine) Submit(req SubmitRequest) (JobStatus, error) {
 		return r.status, nil
 	}
 	e.adopt(cand)
-	r.status.Status = StatusAdmitted
+	e.admit(r)
 	e.registerChain(r)
 	// Only deadlined jobs get a binding promise: a deadline-free job
 	// asked for best effort, and pinning its first forecast would make
@@ -267,6 +282,7 @@ func (e *Engine) Cancel(id int, atSec float64) error {
 	default:
 		return fmt.Errorf("serve: job %d is %s", id, r.status.Status)
 	}
+	e.admitted = slices.DeleteFunc(e.admitted, func(a int) bool { return a == id })
 	// Truncate the plan to the committed prefix and settle the bill.
 	kept := committedStages(r.status.Stages, e.now)
 	r.status.Stages = append([]PlannedStage(nil), r.status.Stages[:kept]...)
@@ -277,8 +293,27 @@ func (e *Engine) Cancel(id int, atSec float64) error {
 	} else {
 		r.status.FinishSec = e.now
 	}
-	e.reoptimize(true)
+	e.reoptimize(jobKey(id))
 	return nil
+}
+
+// admit marks r admitted and enrolls it in the live-job lists; its id
+// is the newest, so both lists stay ascending.
+func (e *Engine) admit(r *record) {
+	r.status.Status = StatusAdmitted
+	e.admitted = append(e.admitted, r.status.ID)
+	if e.cfg.OnEvent != nil {
+		e.emitting = append(e.emitting, r.status.ID)
+	}
+}
+
+// settle moves the fleet's finished leases into the engine's history,
+// so the snapshot a re-plan copies, and the quota gate it seeds, hold
+// live work only.
+func (e *Engine) settle() {
+	for i, leases := range e.fleet.Settle(e.now) {
+		e.settled[i] = append(e.settled[i], leases...)
+	}
 }
 
 // AdvanceTo moves simulated time forward to tSec, finalizing every job
@@ -287,25 +322,24 @@ func (e *Engine) Cancel(id int, atSec float64) error {
 // the last completion).
 func (e *Engine) AdvanceTo(tSec float64) {
 	for {
-		next, id := math.Inf(1), -1
-		for i, r := range e.jobs {
-			if r.status.Status != StatusAdmitted {
-				continue
-			}
-			if f := r.status.Stages[len(r.status.Stages)-1].EndSec; f < next {
-				next, id = f, i
+		next, at := math.Inf(1), -1
+		for n, id := range e.admitted {
+			stages := e.jobs[id].status.Stages
+			if f := stages[len(stages)-1].EndSec; f < next {
+				next, at = f, n
 			}
 		}
-		if id < 0 || next > tSec {
+		if at < 0 || next > tSec {
 			break
 		}
 		e.now = next
-		r := e.jobs[id]
+		r := e.jobs[e.admitted[at]]
+		e.admitted = slices.Delete(e.admitted, at, at+1)
 		r.status.Status = StatusDone
 		r.status.FinishSec = next
 		r.status.CostUSD = stageCost(r.status.Stages)
 		e.emitUpTo(e.now)
-		e.reoptimize(false)
+		e.reoptimize("")
 	}
 	if !math.IsInf(tSec, 1) && tSec > e.now {
 		e.now = tSec
@@ -352,12 +386,25 @@ func stageCost(stages []PlannedStage) float64 {
 	return c
 }
 
+// maxSec bounds the simulated clock: Submit refuses later arrivals, and
+// the integral conversions below saturate there. Whole seconds up to
+// 2^52 stay exact in a float64 with room for the plan's durations.
+const maxSec = 1 << 52
+
 // readyInt and deadlineInt move the serving layer's continuous clock
 // into the knapsack's integral seconds: a job can start no earlier
 // than the next whole second, and must finish within its deadline's
-// whole second.
-func readyInt(t float64) int           { return int(math.Ceil(t - 1e-9)) }
-func deadlineInt(deadline float64) int { return int(math.Floor(deadline + 1e-9)) }
+// whole second. Both saturate at maxSec, so a lax deadline stays lax
+// instead of overflowing into a negative one.
+func readyInt(t float64) int           { return saturate(math.Ceil(t - 1e-9)) }
+func deadlineInt(deadline float64) int { return saturate(math.Floor(deadline + 1e-9)) }
+
+func saturate(sec float64) int {
+	if sec >= maxSec {
+		return maxSec
+	}
+	return int(sec)
+}
 
 // replan builds the candidate state for the current event: release the
 // uncommitted tail, re-solve every remaining stage jointly (the extra
@@ -366,6 +413,7 @@ func deadlineInt(deadline float64) int { return int(math.Floor(deadline + 1e-9))
 // with nil error means the joint solve was infeasible.
 func (e *Engine) replan(extra *record) (*plan, error) {
 	e.Replans++
+	e.settle()
 	snap := e.fleet.Snapshot()
 	e.Released += snap.ReleaseFrom(e.now)
 
@@ -378,11 +426,13 @@ func (e *Engine) replan(extra *record) (*plan, error) {
 	}
 	var active []entry
 	p := &plan{fleet: snap, tails: map[int][]PlannedStage{}, kept: map[int]int{}}
-	consider := e.jobs
-	for i, r := range consider {
-		if r.status.Status != StatusAdmitted && !(extra != nil && r == extra) {
-			continue
-		}
+	consider := e.admitted
+	if extra != nil {
+		// The arrival under test is the newest job: it sorts last.
+		consider = append(consider[:len(consider):len(consider)], extra.status.ID)
+	}
+	for _, i := range consider {
+		r := e.jobs[i]
 		kept := committedStages(r.status.Stages, e.now)
 		if r != extra && kept == len(r.status.Stages) {
 			// Fully committed: its finish is fixed; it only contributes to
@@ -535,69 +585,48 @@ func (e *Engine) adopt(p *plan) {
 // surgically dropped. On a completion the candidate is adopted only
 // when strictly better than the incumbent — fewer misses never arise
 // (the incumbent has none), so better means cheaper, then
-// earlier-finishing at equal cost.
-func (e *Engine) reoptimize(cancel bool) {
+// earlier-finishing at equal cost. canceled names the canceled job's
+// leases; it is empty on a completion.
+func (e *Engine) reoptimize(canceled string) {
 	if e.cfg.Independent {
 		// The baseline never re-plans; a cancel still frees the canceled
 		// job's future leases.
-		if cancel {
-			e.dropCanceledLeases()
+		if canceled != "" {
+			e.dropFutureLeases(canceled)
 		}
 		return
 	}
 	cand, err := e.replan(nil)
 	ok := err == nil && cand != nil && cand.miss == 0
 	if !ok {
-		if cancel {
-			e.dropCanceledLeases()
+		if canceled != "" {
+			e.dropFutureLeases(canceled)
 		}
 		return
 	}
-	if cancel {
+	if canceled != "" {
 		e.adopt(cand)
 		return
 	}
 	curCost := e.fleet.TotalCostUSD()
 	curSum := 0.0
-	for _, r := range e.jobs {
-		if r.status.Status == StatusAdmitted {
-			curSum += r.status.Stages[len(r.status.Stages)-1].EndSec
-		}
+	for _, id := range e.admitted {
+		stages := e.jobs[id].status.Stages
+		curSum += stages[len(stages)-1].EndSec
 	}
 	if cand.cost < curCost-1e-9 || (cand.cost < curCost+1e-9 && cand.sumFinish < curSum-1e-9) {
 		e.adopt(cand)
 	}
 }
 
-// dropCanceledLeases removes canceled jobs' not-yet-started leases
+// dropFutureLeases removes a canceled job's not-yet-started leases
 // from the live fleet in place, leaving every other booking untouched
 // — the fallback when a post-cancel re-plan would break a promise.
-func (e *Engine) dropCanceledLeases() {
-	canceled := map[string]bool{}
-	for i, r := range e.jobs {
-		if r.status.Status == StatusCanceled {
-			canceled[jobKey(i)] = true
-		}
-	}
-	for _, inst := range e.fleet.Instances {
-		kept := inst.Leases[:0]
-		for _, l := range inst.Leases {
-			if canceled[l.Job] && l.StartSec >= e.now {
-				e.Released++
-				continue
-			}
-			kept = append(kept, l)
-		}
-		inst.Leases = kept
-		inst.FreeAtSec, inst.BusySec, inst.CostUSD = 0, 0, 0
-		for _, l := range inst.Leases {
-			if l.EndSec > inst.FreeAtSec {
-				inst.FreeAtSec = l.EndSec
-			}
-			inst.BusySec += l.EndSec - l.StartSec
-			inst.CostUSD += l.CostUSD
-		}
-	}
+// Only the job just canceled can hold such leases: every earlier
+// cancel already dropped its own, and the released tail of every
+// adopted re-plan rebooks admitted jobs only.
+func (e *Engine) dropFutureLeases(job string) {
+	e.Released += e.fleet.Release(func(l cloud.Lease) bool { return l.Job == job && l.StartSec >= e.now })
 }
 
 // admitIndependent is the per-arrival baseline: the job's own min-cost
@@ -606,20 +635,9 @@ func (e *Engine) dropCanceledLeases() {
 // keeps the deadline. Nothing is ever re-planned afterwards.
 func (e *Engine) admitIndependent(r *record) {
 	ready := readyInt(r.status.ArrivalSec)
-	deadline := deadlineInt(r.status.DeadlineSec)
-	budget := 0
-	if deadline > 0 {
-		budget = deadline - ready
-	} else {
-		for _, cl := range r.tpl.Classes {
-			worst := 0
-			for _, it := range cl.Items {
-				if it.TimeSec > worst {
-					worst = it.TimeSec
-				}
-			}
-			budget += worst
-		}
+	budget := mckp.MaxTotalTime(r.tpl.Classes)
+	if deadline := deadlineInt(r.status.DeadlineSec); deadline > 0 {
+		budget = min(budget, deadline-ready)
 	}
 	sel, err := mckp.SolveMinCost(r.tpl.Classes, budget)
 	if err != nil || !sel.Feasible {
@@ -639,6 +657,7 @@ func (e *Engine) admitIndependent(r *record) {
 			Kind: r.tpl.Kinds[l], Type: typ, Seconds: float64(it.TimeSec),
 		})
 	}
+	e.settle()
 	snap := e.fleet.Snapshot()
 	gate := newQuotaGate(snap, e.caps, e.tenantOf)
 	sched, err := flow.ForecastGated(snap, []flow.ForecastJob{fj}, gate)
@@ -654,7 +673,7 @@ func (e *Engine) admitIndependent(r *record) {
 		return
 	}
 	e.fleet = snap
-	r.status.Status = StatusAdmitted
+	e.admit(r)
 	for _, st := range res.Stages {
 		r.status.Stages = append(r.status.Stages, PlannedStage{
 			Kind: st.Kind, Type: st.Type.Name,
@@ -684,12 +703,8 @@ func (e *Engine) emitUpTo(t float64) {
 		idx   int
 	}
 	var evs []pending
-	for i, r := range e.jobs {
-		switch r.status.Status {
-		case StatusAdmitted, StatusDone, StatusCanceled:
-		default:
-			continue
-		}
+	for _, i := range e.emitting {
+		r := e.jobs[i]
 		stages := r.status.Stages
 		for idx := r.emittedStarts; idx < len(stages) && stages[idx].StartSec < t; idx++ {
 			evs = append(evs, pending{at: stages[idx].StartSec, jobID: i, idx: idx})
@@ -727,6 +742,13 @@ func (e *Engine) emitUpTo(t float64) {
 			AtSec: ev.at, JobID: ev.jobID, Job: r.status.Name, Tenant: r.status.Tenant, Flow: fev,
 		})
 	}
+	// A finished or canceled job whose every stage boundary is out has
+	// nothing left to stream.
+	e.emitting = slices.DeleteFunc(e.emitting, func(id int) bool {
+		r := e.jobs[id]
+		n := len(r.status.Stages)
+		return r.status.Status != StatusAdmitted && r.emittedStarts == n && r.emittedEnds == n
+	})
 }
 
 // TenantStats summarizes every tenant's ledger, in config order.

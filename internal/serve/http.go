@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -56,6 +57,29 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// maxBodyBytes bounds every POST body the API reads.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes a POST body of at most maxBodyBytes into v,
+// rejecting fields v does not declare. On failure it writes the error
+// response — 413 for an oversized body, 400 otherwise — and returns
+// false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, status, err)
+	return false
+}
+
 func (s *Server) jobID(r *http.Request) (int, error) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
@@ -85,8 +109,7 @@ func (s *Server) Handler() http.Handler {
 			ArrivalSec  float64 `json:"arrival_sec"`
 			DeadlineSec float64 `json:"deadline_sec"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		s.mu.Lock()
@@ -137,11 +160,8 @@ func (s *Server) Handler() http.Handler {
 		var req struct {
 			AtSec float64 `json:"at_sec"`
 		}
-		if r.ContentLength != 0 {
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				writeErr(w, http.StatusBadRequest, err)
-				return
-			}
+		if r.ContentLength != 0 && !decodeBody(w, r, &req) {
+			return
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -181,8 +201,7 @@ func (s *Server) Handler() http.Handler {
 			ToSec float64 `json:"to_sec"`
 			Drain bool    `json:"drain"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		s.mu.Lock()

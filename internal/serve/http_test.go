@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -119,4 +121,74 @@ func TestServerLifecycle(t *testing.T) {
 	if rep.Jobs != 3 || rep.Completed != 1 || rep.Rejected != 1 || rep.Canceled != 1 || rep.MissedPromises != 0 {
 		t.Fatalf("report: %s", &rep)
 	}
+}
+
+// TestServerRejectsBadBodies: a body past the 1 MiB limit is refused
+// with 413 and a body naming a field the endpoint does not declare with
+// 400, on every POST endpoint, before the engine sees either.
+func TestServerRejectsBadBodies(t *testing.T) {
+	s, err := NewServer(testConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	huge := strings.Repeat("x", maxBodyBytes)
+	doJSON(t, srv, "POST", "/v1/jobs", map[string]any{
+		"tenant": "alpha", "template": "small", "name": huge, "arrival_sec": 0,
+	}, http.StatusRequestEntityTooLarge, nil)
+	doJSON(t, srv, "POST", "/v1/advance", map[string]any{"to_sec": 1, "pad": huge}, http.StatusRequestEntityTooLarge, nil)
+	doJSON(t, srv, "POST", "/v1/jobs", map[string]any{
+		"tenant": "alpha", "template": "small", "name": "one", "arrival_sec": 0, "priority": 9,
+	}, http.StatusBadRequest, nil)
+	doJSON(t, srv, "POST", "/v1/advance", map[string]any{"to": 5}, http.StatusBadRequest, nil)
+
+	var st JobStatus
+	doJSON(t, srv, "POST", "/v1/jobs", map[string]any{
+		"tenant": "alpha", "template": "small", "name": "one", "arrival_sec": 0,
+	}, http.StatusCreated, &st)
+	doJSON(t, srv, "POST", fmt.Sprintf("/v1/jobs/%d/cancel", st.ID), map[string]any{"when": 1}, http.StatusBadRequest, nil)
+	if st.ID != 0 || s.Engine().Now() != 0 {
+		t.Fatalf("refused bodies reached the engine: job id %d, clock %g", st.ID, s.Engine().Now())
+	}
+}
+
+// spaces is an endless source of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// FuzzSubmitHandler drives arbitrary /v1/advance and /v1/jobs bodies
+// through the API, then drains: whatever arrives, every answer is a
+// 2xx or 4xx and nothing panics. padKiB puts that many KiB of
+// whitespace ahead of the job body, so the corpus reaches the body-size
+// limit without a megabyte seed file.
+func FuzzSubmitHandler(f *testing.F) {
+	f.Fuzz(func(t *testing.T, advance, submit []byte, padKiB uint16) {
+		s, err := NewServer(testConfig(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := s.Handler()
+		for _, req := range []struct {
+			path string
+			body io.Reader
+		}{
+			{"/v1/advance", bytes.NewReader(advance)},
+			{"/v1/jobs", io.MultiReader(io.LimitReader(spaces{}, int64(padKiB)<<10), bytes.NewReader(submit))},
+			{"/v1/advance", strings.NewReader(`{"drain":true}`)},
+		} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", req.path, req.body))
+			if rec.Code < 200 || rec.Code >= 500 {
+				t.Fatalf("POST %s: status %d: %s", req.path, rec.Code, rec.Body)
+			}
+		}
+	})
 }

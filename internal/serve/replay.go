@@ -103,8 +103,10 @@ func (e *Engine) Report() *Report {
 	return r
 }
 
-// Fleet exposes the engine's live fleet ledger.
-func (e *Engine) Fleet() *cloud.Fleet { return e.fleet }
+// Fleet returns a copy of the engine's fleet holding every lease of
+// the run — the settled history ahead of the live timeline — with the
+// ledgers the live fleet carries.
+func (e *Engine) Fleet() *cloud.Fleet { return e.fleet.Unsettle(e.settled) }
 
 // String renders the report in a stable, diffable form: aggregates
 // first, then one ledger line per tenant in config order. Job-level

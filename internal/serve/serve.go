@@ -10,6 +10,8 @@
 //   - cloud.Fleet.Snapshot + ReleaseFrom give the commit/release
 //     discipline — leases that have started stand (a booked stage runs
 //     to its checkpoint), everything later is released and re-booked.
+//     Fleet.Settle first moves finished leases out of the live fleet,
+//     so a re-plan copies and scans live work only.
 //   - mckp.BatchOptimizeState re-solves all in-flight plans jointly
 //     against the remaining capacity, warm-started from the previous
 //     event's shadow prices so consecutive events converge in a round

@@ -190,7 +190,10 @@ func TestAdmissionRejectsImpossibleDeadline(t *testing.T) {
 // committed stages on the bill and releases its future leases for the
 // remaining jobs to re-plan over.
 func TestCancelFreesCapacity(t *testing.T) {
-	eng, err := New(testConfig(t))
+	cfg := testConfig(t)
+	events := map[int]int{}
+	cfg.OnEvent = func(ev Event) { events[ev.JobID]++ }
+	eng, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,6 +230,10 @@ func TestCancelFreesCapacity(t *testing.T) {
 	}
 	if err := eng.Cancel(1, eng.Now()); err == nil {
 		t.Fatal("canceling a done job accepted")
+	}
+	// The canceled job's running stage still streams its finish.
+	if events[0] != 2 || events[1] != 2*2 {
+		t.Fatalf("progress events per job %v, want 2 for the canceled job and 4 for the other", events)
 	}
 	// No lease of the canceled job starts after the cancel instant.
 	for _, inst := range eng.Fleet().Instances {

@@ -55,7 +55,9 @@ func quotaCaps(fleet *cloud.Fleet, tenants []Tenant) map[string]float64 {
 
 // newQuotaGate builds a gate seeded with the fleet's existing leases —
 // the committed work that already counts against each tenant's quota
-// when a re-plan's forecast starts booking.
+// when a re-plan's forecast starts booking. The engine passes a
+// settled fleet: every forecast booking starts at or after the clock,
+// so a lease that ended by then can never overlap one.
 func newQuotaGate(fleet *cloud.Fleet, caps map[string]float64, tenantOf func(string) string) *quotaGate {
 	g := &quotaGate{caps: caps, tenantOf: tenantOf, intervals: map[string][]quotaInterval{}}
 	for _, inst := range fleet.Instances {
