@@ -3,6 +3,7 @@ package aig
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -272,24 +273,102 @@ func TestAigerRoundTrip(t *testing.T) {
 	}
 }
 
+// badAigerInputs are streams ReadASCII must refuse with an error; they
+// also seed FuzzReadASCII.
+var badAigerInputs = []string{
+	"",
+	"aig 1 1 0 0 0\n2\n",          // binary header keyword
+	"aag 1 1 9 0 0\n2\n",          // latches
+	"aag 0 1 0 0 0\n2\n",          // header var count too small
+	"aag 2 1 0 1 1\n2\n",          // truncated
+	"aag 2 1 0 0 1\n2\n5 2 2\n",   // complemented AND lhs
+	"aag 2 1 0 0 0\n3\n",          // complemented input
+	"aag x 1 0 0 0\n2\n",          // non-numeric header
+	"aag 2 1 0 1 1\n2\n4\nx y\n",  // bad AND line
+	"aag 0 0 0 0 0\n0 ",           // symbol line without an index (used to panic)
+	"aag 0 0 0 55555555550 0\n00", // output count no stream holds (was a fatal out-of-memory)
+	"aag 9223372036854775807 9223372036854775807 0 0 9223372036854775807\n2\n", // inputs + ands overflow int
+}
+
 func TestAigerRejectsBadInput(t *testing.T) {
-	cases := []string{
-		"",
-		"aig 1 1 0 0 0\n2\n",         // binary header keyword
-		"aag 1 1 9 0 0\n2\n",         // latches
-		"aag 0 1 0 0 0\n2\n",         // header var count too small
-		"aag 2 1 0 1 1\n2\n",         // truncated
-		"aag 2 1 0 0 1\n2\n5 2 2\n",  // complemented AND lhs
-		"aag 2 1 0 0 0\n3\n",         // complemented input
-		"aag x 1 0 0 0\n2\n",         // non-numeric header
-		"aag 2 1 0 1 1\n2\n4\nx y\n", // bad AND line
-		"aag 0 0 0 0 0\n0 ",          // symbol line without an index (used to panic)
-	}
-	for i, src := range cases {
+	for i, src := range badAigerInputs {
 		if _, err := ReadASCII(bytes.NewReader([]byte(src))); err == nil {
 			t.Errorf("case %d: expected error for %q", i, src)
 		}
 	}
+}
+
+// TestAigerHeaderCountsDoNotSizeAllocations: header counts far beyond
+// what the stream holds must neither crash the reader nor reserve
+// memory in proportion to the claim.
+func TestAigerHeaderCountsDoNotSizeAllocations(t *testing.T) {
+	cases := []struct {
+		src     string
+		ok      bool
+		inputs  int
+		outputs int
+	}{
+		// maxVar+1 used to overflow int.
+		{"aag 9223372036854775807 1 0 1 0\n2\n3\n", true, 1, 1},
+		// A sparse variable index near a 1e10 maximum.
+		{"aag 10000000000 1 0 1 1\n2\n20000000001\n20000000000 2 2\n", true, 1, 1},
+		// Input, output and AND counts no stream holds.
+		{"aag 30000000000 10000000000 0 0 0\n2\n4\n", false, 0, 0},
+		{"aag 30000000000 0 0 0 10000000000\n2 0 0\n", false, 0, 0},
+	}
+	for i, c := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g, err := ReadASCII(strings.NewReader(c.src))
+		runtime.ReadMemStats(&after)
+		if (err == nil) != c.ok {
+			t.Fatalf("case %d: err = %v, want ok=%v", i, err, c.ok)
+		}
+		if c.ok && (g.NumInputs() != c.inputs || g.NumOutputs() != c.outputs) {
+			t.Fatalf("case %d: %d inputs / %d outputs, want %d / %d", i, g.NumInputs(), g.NumOutputs(), c.inputs, c.outputs)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+			t.Fatalf("case %d: reading %d bytes allocated %d bytes", i, len(c.src), grew)
+		}
+	}
+}
+
+// FuzzReadASCII: the reader never panics, and any stream it accepts
+// re-serializes to a fixed point: Write(Read(Write(g))) == Write(g).
+func FuzzReadASCII(f *testing.F) {
+	for _, src := range badAigerInputs {
+		f.Add([]byte(src))
+	}
+	g := New("seed")
+	a, b, c := g.AddInput("a"), g.AddInput("b"), g.AddInput("c")
+	g.AddOutput(g.Or(g.And(a, b), c.Not()), "f")
+	g.AddOutput(g.And(a, c), "")
+	var seed bytes.Buffer
+	if err := g.WriteASCII(&seed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadASCII(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := g.WriteASCII(&first); err != nil {
+			t.Fatal(err)
+		}
+		g2, err := ReadASCII(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-reading written graph: %v\n%s", err, first.Bytes())
+		}
+		var second bytes.Buffer
+		if err := g2.WriteASCII(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("write is not a fixed point:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }
 
 func TestSignatureDetectsDifference(t *testing.T) {

@@ -71,14 +71,15 @@ func ReadASCII(r io.Reader) (*Graph, error) {
 	if nLatch != 0 {
 		return nil, fmt.Errorf("aig: latches are not supported (got %d)", nLatch)
 	}
-	if maxVar < nIn+nAnd {
+	if nIn > maxVar || nAnd > maxVar-nIn {
 		return nil, fmt.Errorf("aig: header claims %d vars for %d inputs + %d ands", maxVar, nIn, nAnd)
 	}
 
 	g := New("")
-	// old literal -> new literal, indexed by variable.
-	old2new := make([]Lit, maxVar+1)
-	old2new[0] = False
+	// Header counts are claims, not content: every buffer below is sized
+	// at most to a fixed bound up front and otherwise grows with the
+	// lines the stream actually holds.
+	old2new := newVarMap(maxVar)
 
 	readLit := func(field string) (Lit, error) {
 		n, err := strconv.Atoi(field)
@@ -109,9 +110,9 @@ func ReadASCII(r io.Reader) (*Graph, error) {
 		if l.IsNeg() {
 			return nil, fmt.Errorf("aig: complemented input literal %d", l)
 		}
-		old2new[l.Var()] = g.AddInput("")
+		old2new.set(int(l.Var()), g.AddInput(""))
 	}
-	outLits := make([]Lit, nOut)
+	outLits := make([]Lit, 0, min(nOut, preallocBound))
 	for i := 0; i < nOut; i++ {
 		line, err := nextLine()
 		if err != nil {
@@ -121,7 +122,7 @@ func ReadASCII(r io.Reader) (*Graph, error) {
 		if err != nil {
 			return nil, err
 		}
-		outLits[i] = l
+		outLits = append(outLits, l)
 	}
 	// AIGER requires fanins to be declared before use, so each AND line
 	// is built the moment it is read: the only buffered state is the
@@ -149,12 +150,12 @@ func ReadASCII(r io.Reader) (*Graph, error) {
 		if lits[0].IsNeg() {
 			return nil, fmt.Errorf("aig: complemented AND lhs %d", lits[0])
 		}
-		f0 := old2new[lits[1].Var()]
-		f1 := old2new[lits[2].Var()]
-		old2new[lits[0].Var()] = g.And(f0.NotIf(lits[1].IsNeg()), f1.NotIf(lits[2].IsNeg()))
+		f0 := old2new.get(int(lits[1].Var()))
+		f1 := old2new.get(int(lits[2].Var()))
+		old2new.set(int(lits[0].Var()), g.And(f0.NotIf(lits[1].IsNeg()), f1.NotIf(lits[2].IsNeg())))
 	}
 	for _, l := range outLits {
-		g.AddOutput(old2new[l.Var()].NotIf(l.IsNeg()), "")
+		g.AddOutput(old2new.get(int(l.Var())).NotIf(l.IsNeg()), "")
 	}
 
 	// Optional symbol table and comment section.
@@ -174,7 +175,7 @@ func ReadASCII(r io.Reader) (*Graph, error) {
 			return nil, fmt.Errorf("aig: symbol line %q has no index", line)
 		}
 		idx, err := strconv.Atoi(fields[0])
-		if err != nil {
+		if err != nil || idx < 0 {
 			continue
 		}
 		name := ""
@@ -189,4 +190,58 @@ func ReadASCII(r io.Reader) (*Graph, error) {
 		}
 	}
 	return g, sc.Err()
+}
+
+// preallocBound caps what a header count may reserve before the lines
+// behind it are read: 1<<20 variables (4 MiB of literals). Designs up to
+// that size, adder.x100's ~141k ANDs included, still allocate their
+// maps once; larger ones grow as they are read.
+const preallocBound = 1 << 20
+
+// varMap maps AIGER variables to the literals built for them; an
+// undefined variable reads as False. ASCII AIGER allows any variable
+// index up to the header's maximum, so indices may be sparse. The dense
+// slice only ever covers twice the number of variables defined so far
+// (plus the preallocation); an index beyond that goes to a map, so a
+// hostile index costs one map entry, not a slice of its size. A map
+// entry shadows the dense slot it may later be covered by, until the
+// variable is redefined densely.
+type varMap struct {
+	dense   []Lit
+	sparse  map[int]Lit
+	defined int
+}
+
+func newVarMap(maxVar int) *varMap {
+	return &varMap{dense: make([]Lit, 1, min(maxVar, preallocBound-1)+1)}
+}
+
+func (m *varMap) get(v int) Lit {
+	if m.sparse != nil {
+		if l, ok := m.sparse[v]; ok {
+			return l
+		}
+	}
+	if v < len(m.dense) {
+		return m.dense[v]
+	}
+	return False
+}
+
+func (m *varMap) set(v int, l Lit) {
+	m.defined++
+	if v >= len(m.dense) && v < max(cap(m.dense), 2*m.defined) {
+		m.dense = append(m.dense, make([]Lit, v+1-len(m.dense))...)
+	}
+	if v < len(m.dense) {
+		m.dense[v] = l
+		if m.sparse != nil {
+			delete(m.sparse, v)
+		}
+		return
+	}
+	if m.sparse == nil {
+		m.sparse = map[int]Lit{}
+	}
+	m.sparse[v] = l
 }

@@ -23,7 +23,7 @@ func characterized(t *testing.T, design string) *DesignCharacterization {
 	return char
 }
 
-func TestRunFlowProducesAllArtifacts(t *testing.T) {
+func TestCharacterizeProfilesEveryJobAndSize(t *testing.T) {
 	char := characterized(t, "ibex")
 	if char.Cells == 0 || char.WorkScale <= 0 {
 		t.Fatalf("characterization empty: %+v", char)

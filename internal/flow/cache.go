@@ -31,10 +31,9 @@ import (
 
 // WithCache attaches a content-addressed artifact store to the
 // pipeline. Before each cacheable stage runs, its chain key is looked
-// up: a verified hit adopts the stored artifacts (stage events and
-// checkpoints still fire), a miss runs the stage and stores its
-// outputs. This live form bills the store as it goes and is meant for
-// one run at a time; the Scheduler's Cache field applies the
+// up: a verified hit adopts the stored artifacts (stage events still
+// fire), a miss runs the stage and stores its outputs. This live form
+// bills the store as it goes and is meant for one run at a time; the Scheduler's Cache field applies the
 // frozen-store discipline that stays deterministic when many jobs run
 // concurrently.
 func WithCache(store *cache.Store) Option {
@@ -241,9 +240,6 @@ func (p *Pipeline) tryAdopt(rc *RunContext, s Stage, key cache.Key, i, total int
 		rc.cacheSteps = append(rc.cacheSteps, cacheStep{kind: k, key: key})
 	} else {
 		store.Access(key)
-	}
-	if p.cfg.checkpoints != nil {
-		p.cfg.checkpoints(rc.Checkpoint())
 	}
 	return true, false
 }

@@ -80,6 +80,9 @@ func TestHierarchicalStitchEquivalent(t *testing.T) {
 	if !aig.SimEquiv(base.Design, stitched, 7, 16) {
 		t.Fatal("stitched result not equivalent to the parent design")
 	}
+	if stitched.Name != base.Design.Name {
+		t.Fatalf("stitched graph named %q, want %q", stitched.Name, base.Design.Name)
+	}
 	var want bytes.Buffer
 	if err := stitched.WriteASCII(&want); err != nil {
 		t.Fatal(err)

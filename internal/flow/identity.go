@@ -1,6 +1,8 @@
 package flow
 
 import (
+	"math"
+
 	"edacloud/internal/aig"
 	"edacloud/internal/netlist"
 	"edacloud/internal/place"
@@ -247,3 +249,87 @@ func (s staStage) OptionsFingerprint() uint64 {
 }
 
 func (s staStage) EngineVersion() string { return "sta/1" }
+
+// hasher is FNV-1a 64, fed fixed-width words so the hash covers
+// structure, not formatting.
+type hasher uint64
+
+func newHasher() hasher { return 14695981039346656037 }
+
+func (h *hasher) word(v uint64) {
+	x := uint64(*h)
+	for i := 0; i < 8; i++ {
+		x ^= (v >> (8 * i)) & 0xff
+		x *= 1099511628211
+	}
+	*h = hasher(x)
+}
+
+func (h *hasher) str(s string) {
+	h.word(uint64(len(s)))
+	x := uint64(*h)
+	for i := 0; i < len(s); i++ {
+		x ^= uint64(s[i])
+		x *= 1099511628211
+	}
+	*h = hasher(x)
+}
+
+func (h *hasher) f64(v float64) { h.word(math.Float64bits(v)) }
+func (h *hasher) i(v int)       { h.word(uint64(int64(v))) }
+
+func hashPlacement(h *hasher, p *place.Placement) {
+	if p == nil {
+		h.word(0)
+		return
+	}
+	h.word(1)
+	for _, v := range p.X {
+		h.f64(v)
+	}
+	for _, v := range p.Y {
+		h.f64(v)
+	}
+	h.f64(p.DieW)
+	h.f64(p.DieH)
+	h.f64(p.HPWL)
+	h.f64(p.Overflow)
+}
+
+func hashRouting(h *hasher, r *route.Result) {
+	if r == nil {
+		h.word(0)
+		return
+	}
+	h.word(1)
+	h.i(r.GridW)
+	h.i(r.GridH)
+	h.i(r.Wirelength)
+	h.i(r.Overflow)
+	h.i(r.Iterations)
+	h.i(r.Connections)
+	h.f64(r.TileLocalFraction)
+	h.i(r.BusyTiles)
+	h.i(r.FailedConnections)
+}
+
+func hashTiming(h *hasher, r *sta.Result) {
+	if r == nil {
+		h.word(0)
+		return
+	}
+	h.word(1)
+	h.f64(r.WNS)
+	h.f64(r.TNS)
+	h.f64(r.MaxArrival)
+	h.f64(r.WHS)
+	h.i(r.HoldViolations)
+	h.i(r.Endpoints)
+	for _, s := range r.CriticalPath {
+		h.i(int(s.Cell))
+		h.f64(s.Arrival)
+	}
+	for _, w := range r.LevelWidths {
+		h.i(w)
+	}
+}

@@ -43,13 +43,11 @@ type config struct {
 	ctx             context.Context
 	recipe          synth.Recipe
 	registerOutputs bool
-	objective       synth.MapObjective
 	clockPeriodNs   float64
 	workers         int
 	stageWorkers    map[JobKind]int
 	newProbe        func(JobKind) *perf.Probe
 	events          func(Event)
-	checkpoints     func(*Checkpoint)
 	stages          []Stage
 	substitutes     []Stage
 	cache           *cache.Store
@@ -75,12 +73,6 @@ func WithRecipe(r synth.Recipe) Option {
 // behind every primary output.
 func WithRegisterOutputs(v bool) Option {
 	return func(c *config) { c.registerOutputs = v }
-}
-
-// WithObjective selects the default synthesis stage's mapping
-// objective (delay- or area-oriented).
-func WithObjective(o synth.MapObjective) Option {
-	return func(c *config) { c.objective = o }
 }
 
 // WithClockPeriodNs sets the default sta stage's timing constraint;
@@ -123,14 +115,6 @@ func WithEvents(fn func(Event)) Option {
 	return func(c *config) { c.events = fn }
 }
 
-// WithCheckpoints hands fn a content-hash-stamped Checkpoint after
-// every successful stage — the hook a spot-resilient runner uses to
-// bound lost work to one stage. Like events, checkpoints are delivered
-// synchronously on the goroutine running the pipeline.
-func WithCheckpoints(fn func(*Checkpoint)) Option {
-	return func(c *config) { c.checkpoints = fn }
-}
-
 // WithStages replaces the default four-stage flow with an explicit
 // stage list — the partial-flow hook (e.g. synthesis-only for dataset
 // generation). Stage-specific options (WithRecipe, WithClockPeriodNs,
@@ -169,7 +153,6 @@ func NewPipeline(opts ...Option) *Pipeline {
 			Synthesis(synth.Options{
 				Recipe:          cfg.recipe,
 				RegisterOutputs: cfg.registerOutputs,
-				Objective:       cfg.objective,
 			}),
 			Placement(place.Options{}),
 			Routing(route.Options{}),
@@ -247,9 +230,6 @@ func (p *Pipeline) RunOn(rc *RunContext) error {
 		}
 		if key != 0 && !collision {
 			p.recordComputed(rc, s, key)
-		}
-		if p.cfg.checkpoints != nil {
-			p.cfg.checkpoints(rc.Checkpoint())
 		}
 	}
 	return nil
